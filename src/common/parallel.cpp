@@ -21,17 +21,6 @@ namespace {
 /// from such a thread run serially instead of re-entering the pool.
 thread_local bool t_in_parallel_region = false;
 
-/// Per-thread busy-time counter ("parallel.worker<i>.busy_ns"): worker
-/// threads bind theirs on startup, the caller thread binds worker 0 on
-/// first use.  Schedule-dependent by nature — excluded from the
-/// determinism guarantee like every *.ns metric.
-thread_local telemetry::Counter* t_busy_ns = nullptr;
-
-telemetry::Counter& worker_busy_counter(std::size_t worker) {
-  return telemetry::Registry::global().counter(
-      "parallel.worker" + std::to_string(worker) + ".busy_ns");
-}
-
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("MEMCIM_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
@@ -58,30 +47,34 @@ struct Job {
   bool done = false;
 };
 
-void drain(Job& job) {
+/// Exit-safety invariant: no pool worker touches shared state after the
+/// completion signal of the job it drains (the `remaining` decrement
+/// that can release the submitter), nor before its first job except
+/// through pointers resolved by the pool's owner.  Once the submitter
+/// is released it may return from main(), and the telemetry Registry —
+/// a function-local static destroyed before the pool that joins the
+/// workers — goes away while workers are still parked.  Hence every
+/// chunk books its count and busy time *before* its decrement, into
+/// counters the ThreadPool constructor resolved on the owning thread.
+void drain(Job& job, telemetry::Counter& chunks, telemetry::Counter& busy_ns) {
   const bool telem = telemetry::enabled();
-  const std::uint64_t t0 = telem ? telemetry::now_ns() : 0;
   const telemetry::TraceContextScope trace_scope(job.trace_ctx);
-  std::size_t executed = 0;
   for (;;) {
     const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
     if (c >= job.n_chunks) break;
     const std::size_t lo = job.begin + c * job.chunk;
     const std::size_t hi = std::min(job.end, lo + job.chunk);
+    const std::uint64_t t0 = telem ? telemetry::now_ns() : 0;
     job.fn(lo, hi);
-    ++executed;
+    if (telem) {
+      chunks.add(1);
+      busy_ns.add(telemetry::now_ns() - t0);
+    }
     if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(job.m);
       job.done = true;
       job.cv.notify_all();
     }
-  }
-  if (telem && executed > 0) {
-    static telemetry::Counter& chunks =
-        telemetry::Registry::global().counter("parallel.pool.chunks");
-    chunks.add(executed);
-    if (t_busy_ns == nullptr) t_busy_ns = &worker_busy_counter(0);
-    t_busy_ns->add(telemetry::now_ns() - t0);
   }
 }
 
@@ -89,11 +82,19 @@ void drain(Job& job) {
 /// blocking fork/join region and nested calls run serially).
 class ThreadPool {
  public:
-  explicit ThreadPool(std::size_t n_workers) {
-    const std::size_t helpers = n_workers > 1 ? n_workers - 1 : 0;
-    workers_.reserve(helpers);
-    for (std::size_t i = 0; i < helpers; ++i)
-      workers_.emplace_back([this, i] { worker_loop(i + 1); });
+  explicit ThreadPool(std::size_t n_workers)
+      : chunks_(telemetry::Registry::global().counter("parallel.pool.chunks")) {
+    const std::size_t size = std::max<std::size_t>(n_workers, 1);
+    // Resolved here, on the owning thread, so that a worker first
+    // scheduled after main() returns never looks up the Registry.
+    busy_ns_.reserve(size);
+    for (std::size_t i = 0; i < size; ++i)
+      busy_ns_.push_back(&telemetry::Registry::global().counter(
+          "parallel.worker" + std::to_string(i) + ".busy_ns"));
+    workers_.reserve(size - 1);
+    for (std::size_t i = 1; i < size; ++i)
+      workers_.emplace_back(
+          [this, busy_ns = busy_ns_[i]] { worker_loop(*busy_ns); });
   }
 
   ~ThreadPool() {
@@ -118,17 +119,16 @@ class ThreadPool {
     }
     wake_.notify_all();
     t_in_parallel_region = true;
-    drain(*job);
+    drain(*job, chunks_, *busy_ns_[0]);
     t_in_parallel_region = false;
     std::unique_lock<std::mutex> lock(job->m);
     job->cv.wait(lock, [&job] { return job->done; });
   }
 
  private:
-  void worker_loop(std::size_t worker) {
+  void worker_loop(telemetry::Counter& busy_ns) {
     std::uint64_t seen_generation = 0;
     t_in_parallel_region = true;
-    t_busy_ns = &worker_busy_counter(worker);
     for (;;) {
       std::shared_ptr<Job> job;
       {
@@ -140,10 +140,15 @@ class ThreadPool {
         seen_generation = generation_;
         job = current_job_;
       }
-      if (job) drain(*job);
+      if (job) drain(*job, chunks_, busy_ns);
     }
   }
 
+  /// "parallel.pool.chunks" and "parallel.worker<i>.busy_ns" (index 0:
+  /// whichever thread submits a job).  Schedule-dependent by nature —
+  /// excluded from the determinism guarantee like every *.ns metric.
+  telemetry::Counter& chunks_;
+  std::vector<telemetry::Counter*> busy_ns_;
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable wake_;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <vector>
+
+#include "telemetry/telemetry.h"
 
 namespace memcim {
 namespace {
@@ -93,6 +96,35 @@ TEST(Parallel, DisjointWritesAreThreadCountInvariant) {
   set_parallel_threads(7);
   const auto threaded = compute();
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(serial[i], threaded[i]);
+}
+
+TEST(Parallel, ChunkTallyIsCompleteWhenTheRegionReturns) {
+  PoolGuard guard;
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  const std::size_t threads = 4, count = 1000, grain = 150;
+  set_parallel_threads(threads);
+  // The partition rule of parallel_for_chunks: ceil(count / chunk) with
+  // chunk = max(grain, ceil(count / pool size)) — 7 chunks here.
+  const std::size_t chunk = std::max(grain, (count + threads - 1) / threads);
+  const std::size_t n_chunks = (count + chunk - 1) / chunk;
+  ASSERT_GT(n_chunks, 1u);
+  telemetry::Counter& chunks =
+      telemetry::Registry::global().counter("parallel.pool.chunks");
+  // Every worker books a chunk before its completion signal, so the
+  // submitter never observes a partial tally.  Repeated because a late
+  // booking only shows when a worker finishes the last chunk.
+  for (int rep = 0; rep < 200; ++rep) {
+    chunks.reset();
+    std::atomic<std::size_t> sink{0};
+    parallel_for_chunks(0, count, grain, [&](std::size_t lo, std::size_t hi) {
+      std::size_t acc = 0;
+      for (std::size_t i = lo; i < hi; ++i) acc += i * i;
+      sink.fetch_add(acc, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(chunks.value(), n_chunks) << "repetition " << rep;
+  }
+  telemetry::set_enabled(was_enabled);
 }
 
 }  // namespace
