@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.h"
 #include "logic/ideal_fabric.h"
 
@@ -79,6 +81,11 @@ const GateCase kGateCases[] = {
     {"xnor", gate_xnor, [](bool a, bool b) { return a == b; }, cost_xnor,
      true},
 };
+
+// Print a case by its name: gtest otherwise dumps the struct's raw bytes,
+// which hold function pointers and so differ from run to run under ASLR,
+// and that dump becomes part of the discovered test's name.
+void PrintTo(const GateCase& gc, std::ostream* os) { *os << gc.name; }
 
 class GateTruth : public ::testing::TestWithParam<GateCase> {};
 
