@@ -21,6 +21,11 @@
 //     injection-order) order; the NIC feeds the router's Local input
 //     FIFO one flit per cycle.  Ejection pops one flit per cycle from
 //     the Local output.
+//   * Host cost follows events, not cycles × packets: a packet waiting
+//     on a predecessor sits on that predecessor's waiter list until it
+//     delivers, and a stretch of cycles with no flit in any router is
+//     skipped in one jump to the earliest queued release (exact: such
+//     cycles change no state but the clock; see run_to_completion).
 //
 // The simulation is serial and the event order is a pure function of
 // the injected packet set, so every statistic (and the virtual-clock
@@ -68,7 +73,13 @@ struct NocStats {
   std::uint64_t buffer_reads = 0;
   std::uint64_t xbar_traversals = 0;
   std::uint64_t credit_stalls = 0;   ///< grant denied: full downstream FIFO
-  std::uint64_t cycles = 0;          ///< virtual cycles simulated (busy only)
+  /// Virtual cycles booked: every stepped cycle, plus the skipped
+  /// quiescent cycles in which some NIC held an unreleased packet.
+  /// Cycles jumped over while every NIC and router was empty are not
+  /// counted.
+  std::uint64_t cycles = 0;
+  /// Share of `cycles` booked by the quiescent skip rather than stepped.
+  std::uint64_t fast_forward_cycles = 0;
 };
 
 class MeshNoc {
@@ -157,14 +168,15 @@ class MeshNoc {
     InputPort in[kNocPorts];
     std::size_t rr[kNocPorts] = {0, 0, 0, 0, 0};  ///< arbiter pointers
   };
+  /// Per-packet simulation state; release, injection and delivery
+  /// times live in the packet's NocDelivery.
   struct PacketState {
     NocPacket packet;
-    NocCycle released = 0;
-    bool release_resolved = false;
-    bool queued = false;          ///< sitting in (or through) the NIC
     std::size_t flits_sent = 0;   ///< flits pushed into the Local FIFO
-    std::size_t flits_ejected = 0;
-    bool done = false;
+    /// Waiter list: dependents injected before this packet delivered,
+    /// linked through next_waiter (kNoPacket ends the list).
+    std::size_t first_waiter = kNoPacket;
+    std::size_t next_waiter = kNoPacket;
   };
   struct Transfer {
     std::size_t node;
@@ -176,10 +188,11 @@ class MeshNoc {
   [[nodiscard]] std::size_t neighbor(std::size_t node, NocDir dir) const;
   /// Input port of `neighbor(node, dir)` that link (node, dir) feeds.
   [[nodiscard]] std::size_t entry_port(NocDir dir) const;
+  /// Give every ready packet its release and queue it in its NIC.
   void resolve_releases();
   void step_cycle();
-  [[nodiscard]] bool idle() const;
-  /// Earliest release among resolved, unqueued packets (or ~0ull).
+  [[nodiscard]] bool nics_empty() const;
+  /// Earliest release among the packets queued in NICs (or ~0ull).
   [[nodiscard]] NocCycle next_release() const;
   void apply_link_faults(std::size_t link, std::size_t handle,
                          std::size_t flit_index);
@@ -193,12 +206,11 @@ class MeshNoc {
   std::vector<Router> routers_;
   std::vector<PacketState> packets_;
   std::vector<NocDelivery> deliveries_;
-  /// First handle whose release may still be unresolved.  Handles are
-  /// resolved in (eventually) ascending prefix order once their
-  /// dependencies deliver, so resolve_releases() never needs to rescan
-  /// the prefix — keeping it O(active window) even when one MeshNoc
-  /// hosts millions of packets across many injection/run sessions.
-  std::size_t release_frontier_ = 0;
+  /// Packets whose release is computable (no dependency, or the
+  /// predecessor has delivered) but not yet resolved.  Drained only by
+  /// resolve_releases(), so a dependent of a packet delivered in cycle
+  /// t is released no earlier than cycle t + 1's step.
+  std::vector<std::size_t> ready_;
   /// Per-node NIC: handles of queued packets, kept in (release, handle)
   /// order; the front packet streams its flits first.
   std::vector<std::deque<std::size_t>> nics_;
@@ -208,6 +220,7 @@ class MeshNoc {
     bool stuck_one;
   };
   std::vector<std::vector<WireFault>> link_faults_;  ///< per link, may be empty
+  std::vector<Transfer> grants_;  ///< step_cycle's per-cycle scratch
 
   /// Virtual-to-wall time mapping for trace emission: captured at the
   /// first traced injection so "noc.packet" spans land inside the

@@ -4,6 +4,8 @@
 // pinned golden values cannot.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/cost_model.h"
 
 namespace memcim {
@@ -82,8 +84,12 @@ TEST_P(ParallelismSweep, PerOpMetricsIndependentOfUnits) {
 INSTANTIATE_TEST_SUITE_P(Units, ParallelismSweep,
                          ::testing::Values(1.0, 10.0, 1e3),
                          [](const auto& tp_info) {
-                           return "u" + std::to_string(static_cast<int>(
-                                            tp_info.param));
+                           // Appended, not "u" + temporary: GCC 12 -O3
+                           // flags that with a false -Wrestrict.
+                           std::string name = "u";
+                           name += std::to_string(
+                               static_cast<int>(tp_info.param));
+                           return name;
                          });
 
 TEST(CostModelProperty, MissPenaltyMonotone) {

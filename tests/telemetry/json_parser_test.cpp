@@ -190,7 +190,8 @@ JsonValue random_value(std::mt19937_64& rng, JsonWriter& w, int depth) {
       JsonObject members;
       w.begin_object();
       for (int i = 0; i < n; ++i) {
-        const std::string k = "k" + std::to_string(i);
+        std::string k = "k";  // appended: GCC 12 -O3 false -Wrestrict
+        k += std::to_string(i);
         w.key(k);
         members.emplace_back(k, random_value(rng, w, depth + 1));
       }
